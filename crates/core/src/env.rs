@@ -86,9 +86,9 @@ fn edit_distance(a: &str, b: &str) -> usize {
 /// A validated snapshot of the `GENESIS_*` environment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GenesisEnv {
-    /// Simulation engine selection (`GENESIS_ENGINE`): the compiled
-    /// block-step engine by default, the event-driven engine for
-    /// comparison, the naive reference engine for differential debugging.
+    /// Simulation engine selection (`GENESIS_ENGINE`): the event-driven
+    /// engine by default, the naive reference engine for differential
+    /// debugging.
     pub engine: EngineMode,
     /// Tracing knob (`GENESIS_TRACE`): off, or Chrome-trace export path.
     pub trace: TraceConfig,
@@ -163,13 +163,9 @@ impl GenesisEnv {
     pub fn help() -> String {
         "GENESIS_* environment variables:\n\
          \n\
-         GENESIS_ENGINE        Simulation engine. `block` (default:\n\
-         \x20                     devirtualized block-step engine), `event`\n\
-         \x20                     (event-driven), or `reference` (naive\n\
+         GENESIS_ENGINE        Simulation engine. `event` (default:\n\
+         \x20                     event-driven) or `reference` (naive\n\
          \x20                     tick-everything, for differential debugging).\n\
-         GENESIS_SIM_THREADS   Positive integer = worker threads for the\n\
-         \x20                     block engine's partitioned lockstep\n\
-         \x20                     simulation; unset or invalid = 1.\n\
          GENESIS_TRACE         Unset/empty/`0`/`off` = no tracing; any other\n\
          \x20                     value enables tracing and is the Chrome-trace\n\
          \x20                     output path (plus `<path>.stalls.txt`).\n\
@@ -202,21 +198,15 @@ impl GenesisEnv {
 }
 
 fn parse_engine(v: Option<String>) -> Result<EngineMode, EnvError> {
-    let Some(v) = v else { return Ok(EngineMode::Block) };
-    let t = v.trim();
-    if t.is_empty() || t.eq_ignore_ascii_case("block") {
-        Ok(EngineMode::Block)
-    } else if t.eq_ignore_ascii_case("event") || t.eq_ignore_ascii_case("event-driven") {
-        Ok(EngineMode::EventDriven)
-    } else if t.eq_ignore_ascii_case("reference") {
-        Ok(EngineMode::Reference)
-    } else {
-        let mut reason = "expected `block`, `event` or `reference`".to_owned();
-        if let Some(s) = suggest(t, ["block", "event", "event-driven", "reference"]) {
-            reason.push_str(&format!(" (did you mean `{s}`?)"));
-        }
-        Err(EnvError { var: "GENESIS_ENGINE", value: v, reason })
+    let Some(v) = v else { return Ok(EngineMode::default()) };
+    if let Some(mode) = EngineMode::from_name(&v) {
+        return Ok(mode);
     }
+    let mut reason = format!("expected one of `{}`", EngineMode::NAMES.join("`, `"));
+    if let Some(s) = suggest(v.trim(), EngineMode::NAMES) {
+        reason.push_str(&format!(" (did you mean `{s}`?)"));
+    }
+    Err(EnvError { var: "GENESIS_ENGINE", value: v, reason })
 }
 
 fn parse_trace(v: Option<String>) -> TraceConfig {
@@ -382,7 +372,7 @@ mod tests {
     #[test]
     fn empty_environment_is_default() {
         let env = GenesisEnv::from_lookup(|_| None).unwrap();
-        assert_eq!(env.engine, EngineMode::Block);
+        assert_eq!(env.engine, EngineMode::EventDriven);
         assert!(!env.trace.enabled);
         assert_eq!(env.faults, FaultConfig::default());
         assert_eq!(env.host_threads, None);
@@ -443,11 +433,11 @@ mod tests {
     }
 
     #[test]
-    fn block_engine_parses() {
-        let env = GenesisEnv::from_lookup(env_of(&[("GENESIS_ENGINE", "Block")])).unwrap();
-        assert_eq!(env.engine, EngineMode::Block);
-        let err = GenesisEnv::from_lookup(env_of(&[("GENESIS_ENGINE", "blok")])).unwrap_err();
-        assert!(err.reason.contains("did you mean `block`"), "got: {}", err.reason);
+    fn block_engine_is_rejected() {
+        let err = GenesisEnv::from_lookup(env_of(&[("GENESIS_ENGINE", "block")])).unwrap_err();
+        assert_eq!(err.var, "GENESIS_ENGINE");
+        assert_eq!(err.value, "block");
+        assert!(err.reason.contains("expected one of `event`, `reference`"), "got: {}", err.reason);
     }
 
     #[test]
@@ -522,7 +512,6 @@ mod tests {
         let help = GenesisEnv::help();
         for var in [
             "GENESIS_ENGINE",
-            "GENESIS_SIM_THREADS",
             "GENESIS_TRACE",
             "GENESIS_FAULTS",
             "GENESIS_HOST_THREADS",

@@ -7,7 +7,7 @@
 
 use crate::memory::MemorySystem;
 use crate::queue::{QueueId, QueuePool};
-use crate::spm::{SpmId, SpmPool};
+use crate::spm::SpmPool;
 use crate::word::Flit;
 use std::any::Any;
 use std::fmt;
@@ -170,18 +170,6 @@ pub trait Module: fmt::Debug + Send {
 
     /// Downcasting support (used to read results out of sinks/writers).
     fn as_any(&self) -> &dyn Any;
-
-    /// Consumes the boxed module, yielding it as [`Any`]. The block engine
-    /// uses this to rebuild its devirtualized dispatch table from the
-    /// concrete module types (`crate::engine::ModuleSlot`).
-    fn into_any(self: Box<Self>) -> Box<dyn Any>;
-
-    /// Scratchpads this module accesses (module-graph partitioning for the
-    /// parallel block engine). Modules that never touch a scratchpad keep
-    /// the empty default.
-    fn spm_ids(&self) -> Vec<SpmId> {
-        Vec::new()
-    }
 
     /// Queues this module consumes (for pipeline visualization).
     fn input_queues(&self) -> Vec<QueueId> {

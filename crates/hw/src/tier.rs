@@ -7,7 +7,7 @@
 //! between three tiers — resident SPM, device DRAM, and host DRAM behind a
 //! PCIe link model with its own latency, bandwidth, and inflight cap.
 //!
-//! The model is **timing-only**: [`crate::Spm`] always holds the full
+//! The model is **timing-only**: [`crate::spm::Spm`] always holds the full
 //! contents, so results are bit-identical with tiering on or off. What the
 //! tier layer adds is *when* an access may proceed. A module touching a
 //! non-resident page parks on a timed wake
@@ -20,7 +20,7 @@
 //! cycle, so every state transition here must be driven only by the
 //! *initiating* tick, never by re-ticks:
 //!
-//! - While any page a module needs is in flight, [`TierState::access`]
+//! - While any page a module needs is in flight, `TierState::access`
 //!   takes a pure pre-scan path that returns the pending ready time
 //!   without mutating anything.
 //! - Pages a waiting module needs are pinned (`pin_until`) for the whole
@@ -206,9 +206,7 @@ struct PageTable {
 }
 
 /// Shared tier state for an [`SpmPool`] (page tables plus the two link
-/// schedules). All paged scratchpads share the links, which is why the
-/// block engine folds every module touching a paged scratchpad into one
-/// partition component.
+/// schedules). All paged scratchpads share the links.
 #[derive(Debug)]
 pub(crate) struct TierState {
     params: TierParams,
@@ -617,16 +615,6 @@ impl SpmPool {
     #[must_use]
     pub(crate) fn tier_worst_wait(&self) -> u64 {
         self.tiers.as_deref().map_or(0, |t| t.params.worst_case_wait_cycles())
-    }
-
-    /// Per-scratchpad flag: true when the scratchpad is paged (shares the
-    /// tier links, so its users must co-partition).
-    #[must_use]
-    pub(crate) fn tiered_flags(&self) -> Vec<bool> {
-        match self.tiers.as_deref() {
-            Some(t) => t.tables.iter().map(Option::is_some).collect(),
-            None => vec![false; self.len()],
-        }
     }
 }
 

@@ -1,9 +1,9 @@
 //! Tiered-memory differential suite: with `GENESIS_TIERS`-style paging
 //! enabled (tiny SPM quotas so every scratchpad page spills), compiled
 //! pipelines must stay bit-identical to both the spill-off hardware run
-//! and the software engine — across all three simulation engines and
-//! 1/2/4 block-engine worker threads — while the added cycles land in the
-//! `spill-wait` stall bucket and the `tier.*` counters.
+//! and the software engine — across both simulation engines — while the
+//! added cycles land in the `spill-wait` stall bucket and the `tier.*`
+//! counters.
 //!
 //! Also covers the hw-level invariants: spill-wait spans tile each
 //! module's timeline exactly (including deadlock exits), and a
@@ -25,44 +25,10 @@ use genesis::sql::{Catalog, LogicalPlan};
 use genesis::types::{Column, DataType, Field, Schema, Table};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-/// Serializes every test that reads or writes the engine-selection
-/// environment (`System::with_memory` consults `GENESIS_ENGINE` /
-/// `GENESIS_SIM_THREADS` at construction, and the test harness runs test
-/// functions concurrently in one process).
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn env_lock() -> MutexGuard<'static, ()> {
-    ENV_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The full engine matrix the suite sweeps: three engines, and 1/2/4
-/// worker threads for the block engine (the other engines ignore the
-/// thread count but must still behave identically under it).
-const MATRIX: [(&str, usize); 9] = [
-    ("block", 1),
-    ("block", 2),
-    ("block", 4),
-    ("event", 1),
-    ("event", 2),
-    ("event", 4),
-    ("reference", 1),
-    ("reference", 2),
-    ("reference", 4),
-];
-
-/// Runs `f` with the engine selection exported to the environment. The
-/// caller must hold [`env_lock`].
-fn with_engine<T>(engine: &str, threads: usize, f: impl FnOnce() -> T) -> T {
-    std::env::set_var("GENESIS_ENGINE", engine);
-    std::env::set_var("GENESIS_SIM_THREADS", threads.to_string());
-    let out = f();
-    std::env::remove_var("GENESIS_ENGINE");
-    std::env::remove_var("GENESIS_SIM_THREADS");
-    out
-}
+mod common;
+use common::{env_lock, with_engine, MATRIX};
 
 /// A tier configuration with a zero on-chip quota and 64-byte pages, so
 /// even the tiny proptest scratchpads page against device DRAM on every
@@ -120,10 +86,10 @@ fn assert_tables_equal(hw: &Table, sw: &Table, what: &str) -> Result<(), TestCas
     Ok(())
 }
 
-/// Runs `plan` four ways — software engine, spill-off hardware, and
-/// spill-on hardware across the full engine × thread matrix — and fails
-/// unless every run produces the same table. Returns the per-combination
-/// spill-on statistics (matrix order) for further assertions.
+/// Runs `plan` on the software engine, on spill-off hardware, and on
+/// spill-on hardware under every engine, and fails unless every run
+/// produces the same table. Returns the per-engine spill-on statistics
+/// (matrix order) for further assertions.
 ///
 /// The caller must hold [`env_lock`].
 fn differential_tiered(
@@ -151,18 +117,18 @@ fn differential_tiered(
         .compile(plan, catalog)
         .map_err(|e| TestCaseError::fail(format!("compile (tiers on) failed: {e}")))?;
     let mut all = Vec::with_capacity(MATRIX.len());
-    for (engine, threads) in MATRIX {
-        let what = format!("tiers on, {engine}/{threads}t");
-        let (hw, stats) = with_engine(engine, threads, || tiered.execute_replicated(catalog, factor))
+    for engine in MATRIX {
+        let what = format!("tiers on, {engine}");
+        let (hw, stats) = with_engine(engine, || tiered.execute_replicated(catalog, factor))
             .map_err(|e| TestCaseError::fail(format!("{what}: hardware run failed: {e}")))?;
         assert_tables_equal(&hw, &sw, &what)?;
         all.push(stats);
     }
 
     // Deterministic timing: simulated cycles, flits, and tier traffic must
-    // agree across every engine and thread count.
+    // agree across every engine.
     let first = &all[0];
-    for ((engine, threads), stats) in MATRIX.iter().zip(&all) {
+    for (engine, stats) in MATRIX.iter().zip(&all) {
         let same = stats.cycles == first.cycles
             && stats.total_flits == first.total_flits
             && stats.tier_pages_filled == first.tier_pages_filled
@@ -171,18 +137,8 @@ fn differential_tiered(
             && stats.tier_pcie_bytes == first.tier_pcie_bytes;
         if !same {
             return Err(TestCaseError::fail(format!(
-                "{engine}/{threads}t diverged from block/1t:\n  {stats}\nvs\n  {first}"
-            )));
-        }
-    }
-    // Full statistics equality (every field, including the stall-bucket
-    // split) across thread counts of each parking engine.
-    for pair in [(0, 1), (0, 2), (3, 4), (3, 5)] {
-        let (a, b) = pair;
-        if all[a] != all[b] {
-            return Err(TestCaseError::fail(format!(
-                "{}/{}t stats diverged from {}/{}t:\n  {}\nvs\n  {}",
-                MATRIX[b].0, MATRIX[b].1, MATRIX[a].0, MATRIX[a].1, all[b], all[a]
+                "{engine} diverged from {}:\n  {stats}\nvs\n  {first}",
+                MATRIX[0]
             )));
         }
     }
@@ -228,14 +184,14 @@ proptest! {
         // The histogram scratchpads page (zero SPM quota), so the parking
         // engines must see cold-page waits; the reference engine re-ticks
         // instead of parking and accounts those cycles as active.
-        for (i, (engine, threads)) in MATRIX.iter().enumerate() {
+        for (i, engine) in MATRIX.iter().enumerate() {
             if *engine == "reference" {
                 prop_assert_eq!(all[i].spill_wait_cycles, 0);
             } else {
                 prop_assert!(
                     all[i].spill_wait_cycles > 0,
-                    "{}/{}t: expected spill waits, got {}",
-                    engine, threads, all[i]
+                    "{}: expected spill waits, got {}",
+                    engine, all[i]
                 );
             }
             prop_assert!(all[i].tier_pages_filled > 0);
@@ -281,7 +237,7 @@ proptest! {
 
 /// A deterministic spill-heavy GROUP BY swept across the full matrix:
 /// beyond the proptest sweep, pins down that eviction + refill traffic
-/// (not just cold fills) stays engine- and thread-invariant.
+/// (not just cold fills) stays engine-invariant.
 #[test]
 fn spill_heavy_matrix_is_deterministic() {
     let _guard = env_lock();
@@ -431,10 +387,9 @@ fn assert_tiling(report: &StallReport) {
 #[test]
 fn spill_waits_tile_the_timeline_and_stay_bit_identical() {
     let _guard = env_lock();
-    let run = |tiered: bool, engine: EngineMode, threads: usize| {
+    let run = |tiered: bool, engine: EngineMode| {
         let mut sys = System::new();
         sys.set_engine(engine);
-        sys.set_sim_threads(threads);
         let sink = build_spill_pipeline(&mut sys);
         if tiered {
             sys.set_tiers(hw_tier_params()).expect("unbounded host pool admits everything");
@@ -443,12 +398,12 @@ fn spill_waits_tile_the_timeline_and_stay_bit_identical() {
         (sys.sink_values(sink), sys.cycle(), sys.stall_report(), sys.tier_stats())
     };
 
-    let (vals_off, cycles_off, report_off, tiers_off) = run(false, EngineMode::Block, 1);
+    let (vals_off, cycles_off, report_off, tiers_off) = run(false, EngineMode::EventDriven);
     assert_tiling(&report_off);
     assert_eq!(tiers_off, None, "tier stats only exist once set_tiers is called");
     assert_eq!(report_off.totals().spill_wait, 0);
 
-    let (vals_on, cycles_on, report_on, tiers_on) = run(true, EngineMode::Block, 1);
+    let (vals_on, cycles_on, report_on, tiers_on) = run(true, EngineMode::EventDriven);
     assert_tiling(&report_on);
     assert_eq!(vals_on, vals_off, "tiering is timing-only: results must not change");
     assert!(cycles_on > cycles_off, "paging must cost cycles: {cycles_on} vs {cycles_off}");
@@ -457,16 +412,14 @@ fn spill_waits_tile_the_timeline_and_stay_bit_identical() {
     assert!(stats.pages_filled > 0 && stats.pages_spilled > 0, "{stats:?}");
     assert!(stats.prefetch_hits > 0, "a sequential fill pattern must prefetch: {stats:?}");
 
-    // The same tiered run on every engine and thread count: identical
-    // results, cycles, and tier traffic.
-    for engine in [EngineMode::Block, EngineMode::EventDriven, EngineMode::Reference] {
-        for threads in [1, 2, 4] {
-            let (vals, cycles, report, tiers) = run(true, engine, threads);
-            assert_tiling(&report);
-            assert_eq!(vals, vals_on, "{engine:?}/{threads}t results diverged");
-            assert_eq!(cycles, cycles_on, "{engine:?}/{threads}t cycles diverged");
-            assert_eq!(tiers, tiers_on, "{engine:?}/{threads}t tier stats diverged");
-        }
+    // The same tiered run on every engine: identical results, cycles, and
+    // tier traffic.
+    for engine in [EngineMode::EventDriven, EngineMode::Reference] {
+        let (vals, cycles, report, tiers) = run(true, engine);
+        assert_tiling(&report);
+        assert_eq!(vals, vals_on, "{engine:?} results diverged");
+        assert_eq!(cycles, cycles_on, "{engine:?} cycles diverged");
+        assert_eq!(tiers, tiers_on, "{engine:?} tier stats diverged");
     }
 }
 

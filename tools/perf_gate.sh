@@ -6,7 +6,8 @@
 # / BENCH_tier.json snapshots. A row more than 15% BELOW the snapshot
 # fails the gate — a real perf regression on the same machine. A row more
 # than 15% ABOVE only warns: the snapshot is stale and should be
-# refreshed (re-run the bench, commit the new file).
+# refreshed (re-run the bench, commit the new file). A snapshot row the
+# fresh run no longer produces fails as well.
 #
 #   sh tools/perf_gate.sh          # gate; snapshot files left untouched
 #   sh tools/perf_gate.sh --keep   # gate; keep the fresh numbers in the
@@ -77,7 +78,17 @@ gate() {
             }
         }' || bench_fail=1
     done < "$fresh_rows"
-    rm -f "$fresh_rows"
+    # A baseline row the fresh run no longer produces fails too: a
+    # configuration that silently stopped running is not a pass.
+    base_rows=$(mktemp)
+    rows "$old" > "$base_rows"
+    while read -r label base; do
+        if ! awk -v l="$label" '$1 == l { found = 1 } END { exit !found }' "$fresh_rows"; then
+            printf "  FAIL %-22s %.2f Mflit/s baseline: row missing from fresh run\n" "$label" "$base"
+            bench_fail=1
+        fi
+    done < "$base_rows"
+    rm -f "$fresh_rows" "$base_rows"
 
     if [ "$bench_fail" -ne 0 ] || [ "$keep" != "--keep" ]; then
         cp "$old" "$snap"
