@@ -279,6 +279,9 @@ struct BuildCtx<'a> {
     /// the stream-sink writer allocations; explodes raise it above the
     /// spine row count).
     rows_bound: usize,
+    /// Bytes the pipeline's leaves wrote to device memory through
+    /// [`PipelineBuilder::upload_column`] (the job's DMA-in volume).
+    dma_in: u64,
 }
 
 impl<'a> BuildCtx<'a> {
@@ -299,12 +302,29 @@ impl<'a> BuildCtx<'a> {
             group_domain_cap,
             expansion: 1.0,
             rows_bound,
+            dma_in: 0,
         }
     }
 
     fn lbl(&mut self, name: &str) -> String {
         self.uniq += 1;
         format!("{name}.{}", self.uniq)
+    }
+
+    /// Uploads one leaf column behind a Memory Reader, recording its
+    /// width in the read-port profile and its bytes in the DMA-in volume.
+    fn upload(
+        &mut self,
+        b: &mut PipelineBuilder<'_>,
+        name: &str,
+        bytes: &[u8],
+        elem_bytes: usize,
+        rows: RowSpec,
+    ) -> QueueId {
+        let label = self.lbl(name);
+        self.reads.push(elem_bytes);
+        self.dma_in += bytes.len() as u64;
+        b.upload_column(&label, bytes, elem_bytes, rows)
     }
 
     fn note(&mut self, line: String) {
@@ -726,36 +746,7 @@ fn prepare_explode(plan: &LogicalPlan, catalog: &Catalog) -> Result<PreparedScan
         LogicalPlan::PosExplode { array, .. } => {
             let ci = schema_col(t, array, node)?;
             let data = flatten_list_col(t, ci, node)?;
-            // Synthesize one all-match run per row (split at the 13-bit
-            // packed length limit) so ReadToBases emits (init+i, item).
-            let mut vals = Vec::with_capacity(rows);
-            let mut lens = Vec::with_capacity(rows);
-            let data_lens = data.lens.as_deref().unwrap_or(&[]);
-            for &n in data_lens {
-                let mut left = n;
-                let mut elems = 0u32;
-                while left > 0 {
-                    let run = left.min((1 << 13) - 1);
-                    let elem = genesis_types::CigarElem {
-                        op: genesis_types::CigarOp::Match,
-                        len: run,
-                    };
-                    let packed = elem
-                        .pack()
-                        .map_err(|e| CoreError::Host(format!("synthesized CIGAR: {e}")))?;
-                    vals.push(u64::from(packed));
-                    elems += 1;
-                    left -= run;
-                }
-                lens.push(elems);
-            }
-            let cigar = PreparedCol {
-                name: "__CIGAR".to_owned(),
-                elem_bytes: 2,
-                decode: Decode::U64,
-                vals,
-                lens: Some(lens),
-            };
+            let cigar = match_cigars(data.lens.as_deref().unwrap_or(&[]))?;
             let name = t.schema().fields()[ci].name.clone();
             (cigar, data, None, vec!["POS".to_owned(), name])
         }
@@ -1184,35 +1175,16 @@ impl PreparedJob {
             |sys, group, r| {
                 let mut ctx = BuildCtx::new(prepared, r.clone(), group_domain_cap(cfg));
                 let mut b = PipelineBuilder::new(sys, group);
-                build_core(&mut b, &mut ctx, core)
+                let built = build_core(&mut b, &mut ctx, core)?;
+                Ok((built, ctx.dma_in))
             },
-            |sys, built, _| extract_job(sys, built),
+            |sys, (built, dma_in), _| Ok((extract_job(sys, built)?, *dma_in)),
         )?;
-        // DMA-in: the shard streams its share of the spine scan plus
-        // every non-spine scan in full (join right sides replay per
-        // shard). For the whole-spine range this is exactly the
-        // unsharded job's transfer volume.
-        let dma_in: u64 = prepared
-            .iter()
-            .enumerate()
-            .map(|(idx, p)| {
-                let r = if idx == 0 { range.clone() } else { 0..p.rows };
-                p.cols
-                    .iter()
-                    .map(|c| match &c.lens {
-                        None => (r.len() * c.elem_bytes) as u64,
-                        // Flattened list columns transfer their elements
-                        // within the row range, not one value per row.
-                        Some(lens) => {
-                            let elems: usize =
-                                lens[r.clone()].iter().map(|&l| l as usize).sum();
-                            (elems * c.elem_bytes) as u64
-                        }
-                    })
-                    .sum::<u64>()
-            })
-            .sum();
-        stats.dma_in_bytes += dma_in;
+        // DMA-in: exactly the bytes the shard's pipelines uploaded — each
+        // its spine slice plus its own copy of every other leaf, cut to
+        // the pipeline's spine key window where a join allows it.
+        let (outs, uploads): (Vec<_>, Vec<u64>) = outs.into_iter().unzip();
+        stats.dma_in_bytes += uploads.iter().sum::<u64>();
         stats.dma_transfers += outs.len() as u64 * 2;
         // Pushed-vs-residual visibility: rows the scans examined against
         // pushed predicates vs rows that entered the pipeline (identical
@@ -1470,7 +1442,7 @@ fn build_node(
     plan: &LogicalPlan,
 ) -> Result<Stream, CoreError> {
     match plan {
-        LogicalPlan::Scan { .. } => build_scan(b, ctx),
+        LogicalPlan::Scan { .. } => Ok(build_scan(b, ctx, None)?.0),
         LogicalPlan::Filter { input, pred } => {
             let s = build_node(b, ctx, input)?;
             build_filter(b, ctx, s, pred)
@@ -1481,11 +1453,17 @@ fn build_node(
         }
         LogicalPlan::Join { kind, left, right, left_key, right_key } => {
             let l = build_node(b, ctx, left)?;
-            let r = build_node(b, ctx, right)?;
-            build_join(b, ctx, *kind, l, r, left_key, right_key)
+            let window = spine_key_window(ctx, *kind, &l, left_key)
+                .map(|range| KeyWindow { key: right_key, range });
+            let (r, windowed) = match &**right {
+                LogicalPlan::Scan { .. } => build_scan(b, ctx, window)?,
+                LogicalPlan::PosExplode { .. } => build_explode(b, ctx, window)?,
+                _ => (build_node(b, ctx, right)?, false),
+            };
+            build_join(b, ctx, *kind, l, r, left_key, right_key, windowed)
         }
         LogicalPlan::PosExplode { .. } | LogicalPlan::ReadExplode { .. } => {
-            build_explode(b, ctx)
+            Ok(build_explode(b, ctx, None)?.0)
         }
         LogicalPlan::Aggregate { .. } => Err(CoreError::unsupported(
             "Aggregate",
@@ -1498,14 +1476,121 @@ fn build_node(
     }
 }
 
+/// A join's right-key window: the inclusive `[lo, hi]` range of left
+/// keys this pipeline's spine slice can carry (`None` when the slice is
+/// empty). Right rows outside it can never match an inner or left join
+/// on sorted unique keys, so the right leaf uploads only the rows inside.
+struct KeyWindow<'p> {
+    key: &'p ColRef,
+    range: Option<(u64, u64)>,
+}
+
+/// The key window an `Inner`/`Left` join can push onto its right leaf:
+/// the min/max of the left key over the pipeline's spine range, when
+/// that key streams unchanged from the spine scan (Filters, Projects and
+/// joins only pass row subsets, so every left key lies in the window).
+fn spine_key_window(
+    ctx: &BuildCtx<'_>,
+    kind: JoinKind,
+    l: &Stream,
+    left_key: &ColRef,
+) -> Option<Option<(u64, u64)>> {
+    if !matches!(kind, JoinKind::Inner | JoinKind::Left) {
+        return None;
+    }
+    let li = resolve(&l.cols, left_key, "Join").ok()?;
+    let Some((0, ci)) = l.cols[li].origin else { return None };
+    let vals = &ctx.prepared[0].cols[ci].vals[ctx.spine_range.clone()];
+    Some(vals.iter().copied().min().zip(vals.iter().copied().max()))
+}
+
+/// Per-row all-match CIGARs for list lengths `lens`: one `M` run per row,
+/// split at the 13-bit packed run-length limit, so `ReadToBases` emits
+/// `(init + i, item)` for every list item (how `PosExplode` maps onto the
+/// shared explode block).
+fn match_cigars(lens: &[u32]) -> Result<PreparedCol, CoreError> {
+    let mut vals = Vec::with_capacity(lens.len());
+    let mut runs = Vec::with_capacity(lens.len());
+    for &n in lens {
+        let mut left = n;
+        let mut elems = 0u32;
+        while left > 0 {
+            let run = left.min((1 << 13) - 1);
+            let elem = genesis_types::CigarElem { op: genesis_types::CigarOp::Match, len: run };
+            let packed =
+                elem.pack().map_err(|e| CoreError::Host(format!("synthesized CIGAR: {e}")))?;
+            vals.push(u64::from(packed));
+            elems += 1;
+            left -= run;
+        }
+        runs.push(elems);
+    }
+    Ok(PreparedCol {
+        name: "__CIGAR".to_owned(),
+        elem_bytes: 2,
+        decode: Decode::U64,
+        vals,
+        lens: Some(runs),
+    })
+}
+
+/// Cuts a `PosExplode` leaf's `[POS, CIGAR, list]` input columns to the
+/// exploded positions inside `window`. Row `r` explodes to positions
+/// `POS[r] ..= POS[r] + len[r] - 1`; the caller has checked that the
+/// output `POS` is strictly ascending over the whole leaf, so rows are
+/// non-empty, sorted and disjoint, and the rows meeting the window are
+/// contiguous. Those rows start at `max(POS, lo)`, keep their list items
+/// up to position `hi`, and get re-synthesized all-match CIGARs.
+fn window_pos_explode(
+    ps: &PreparedScan,
+    window: Option<(u64, u64)>,
+) -> Result<Vec<PreparedCol>, CoreError> {
+    let (pos_col, data) = (&ps.cols[0], &ps.cols[2]);
+    let (pos, lens) = (&pos_col.vals, data.lens.as_deref().unwrap_or(&[]));
+    let mut out_pos = Vec::new();
+    let mut out_lens = Vec::new();
+    let mut items = Vec::new();
+    if let Some((lo, hi)) = window {
+        let last = |r: usize| pos[r].saturating_add(u64::from(lens[r]).saturating_sub(1));
+        let mut first = pos.partition_point(|&p| p < lo);
+        // Only the row just before `first` can straddle `lo`.
+        if first > 0 && last(first - 1) >= lo {
+            first -= 1;
+        }
+        let mut off: usize = lens[..first].iter().map(|&l| l as usize).sum();
+        for r in first..pos.partition_point(|&p| p <= hi) {
+            let start = pos[r].max(lo);
+            let skip = (start - pos[r]) as usize;
+            let keep = (last(r).min(hi) - start + 1) as usize;
+            out_pos.push(start);
+            out_lens.push(keep as u32);
+            items.extend_from_slice(&data.vals[off + skip..off + skip + keep]);
+            off += lens[r] as usize;
+        }
+    }
+    let cigar = match_cigars(&out_lens)?;
+    Ok(vec![
+        PreparedCol { vals: out_pos, lens: None, name: pos_col.name.clone(), ..*pos_col },
+        cigar,
+        PreparedCol { vals: items, lens: Some(out_lens), name: data.name.clone(), ..*data },
+    ])
+}
+
 /// Lowers an explode leaf: one Memory Reader per `ReadToBases` input
 /// stream (POS delimited per row, list columns delimited by their run
 /// lengths), the `ReadToBases` genomics block from the module library,
 /// and a drop-ends Zip selecting the relational output fields — turning
 /// the per-read delimited base stream into the plain row stream every
 /// downstream module expects. Expansion (output rows per input row) is
-/// recorded for the Figure 8 replication profile.
-fn build_explode(b: &mut PipelineBuilder<'_>, ctx: &mut BuildCtx<'_>) -> Result<Stream, CoreError> {
+/// recorded for the Figure 8 replication profile. A `PosExplode` join
+/// input whose `POS` key is ascending uploads only the positions inside
+/// `window` (see [`window_pos_explode`]); the second return value says
+/// whether it did.
+fn build_explode(
+    b: &mut PipelineBuilder<'_>,
+    ctx: &mut BuildCtx<'_>,
+    window: Option<KeyWindow<'_>>,
+) -> Result<(Stream, bool), CoreError> {
     use genesis_hw::modules::read_to_bases::{ReadToBases, ReadToBasesInputs};
     let idx = ctx.next_scan;
     ctx.next_scan += 1;
@@ -1515,29 +1600,38 @@ fn build_explode(b: &mut PipelineBuilder<'_>, ctx: &mut BuildCtx<'_>) -> Result<
         .clone()
         .ok_or_else(|| CoreError::Host("explode node over a plain scan leaf".into()))?;
     let range = if idx == 0 { ctx.spine_range.clone() } else { 0..ps.rows };
+    let windowed = match window {
+        Some(w) if resolve(&spec.out_cols, w.key, "Join").ok() == Some(0)
+            && spec.out_cols[0].ascending =>
+        {
+            Some(window_pos_explode(ps, w.range)?)
+        }
+        _ => None,
+    };
+    let (cols, rows) = match &windowed {
+        Some(cols) => (cols.as_slice(), 0..cols[0].vals.len()),
+        None => (ps.cols.as_slice(), range.clone()),
+    };
     let table = ps.table.clone();
-    let mut qs = Vec::with_capacity(ps.cols.len());
-    for c in &ps.cols {
-        let label = ctx.lbl(&format!("{table}.{}", c.name));
+    let mut qs = Vec::with_capacity(cols.len());
+    for c in cols {
+        let name = format!("{table}.{}", c.name);
         let q = match &c.lens {
             None => {
-                let bytes = serialize(&c.vals[range.clone()], c.elem_bytes);
+                let bytes = serialize(&c.vals[rows.clone()], c.elem_bytes);
                 // One delimiter per row keeps POS aligned with the
                 // per-read runs of the list streams.
-                b.upload_column(&label, &bytes, c.elem_bytes, RowSpec::Fixed(1))
+                ctx.upload(b, &name, &bytes, c.elem_bytes, RowSpec::Fixed(1))
             }
             Some(lens) => {
-                let flat_start: usize =
-                    lens[..range.start].iter().map(|&l| l as usize).sum();
-                let flat_len: usize =
-                    lens[range.clone()].iter().map(|&l| l as usize).sum();
+                let flat_start: usize = lens[..rows.start].iter().map(|&l| l as usize).sum();
+                let flat_len: usize = lens[rows.clone()].iter().map(|&l| l as usize).sum();
                 let bytes =
                     serialize(&c.vals[flat_start..flat_start + flat_len], c.elem_bytes);
-                let rows = PipelineBuilder::rows_from_lens(&lens[range.clone()]);
-                b.upload_column(&label, &bytes, c.elem_bytes, rows)
+                let row_spec = PipelineBuilder::rows_from_lens(&lens[rows.clone()]);
+                ctx.upload(b, &name, &bytes, c.elem_bytes, row_spec)
             }
         };
-        ctx.reads.push(c.elem_bytes);
         qs.push(q);
     }
     let inputs = ReadToBasesInputs {
@@ -1555,20 +1649,36 @@ fn build_explode(b: &mut PipelineBuilder<'_>, ctx: &mut BuildCtx<'_>) -> Result<
     let zl = ctx.lbl("explode.zip");
     b.system()
         .add_module(Box::new(Zip::new(&zl, vec![ZipInput::new(bases, sel)], rows_q).with_drop_ends()));
-    let out_rows = spec.out_offsets[range.end] - spec.out_offsets[range.start];
-    let in_rows = range.len().max(1);
-    ctx.expansion = ctx.expansion.max(out_rows as f64 / in_rows as f64);
+    // The profile's expansion covers the whole leaf range, so a window
+    // never changes the replication choice.
+    let leaf_rows = spec.out_offsets[range.end] - spec.out_offsets[range.start];
+    ctx.expansion = ctx.expansion.max(leaf_rows as f64 / range.len().max(1) as f64);
+    let out_rows = match &windowed {
+        Some(cols) => cols[2].vals.len(),
+        None => leaf_rows,
+    };
     ctx.rows_bound = ctx.rows_bound.max(out_rows);
     ctx.note(format!(
         "{}({table}) -> {}x MemoryReader + ReadToBases + Zip ({out_rows} rows from {})",
         spec.node,
-        ps.cols.len(),
-        range.len(),
+        cols.len(),
+        rows.len(),
     ));
-    Ok(Stream { q: rows_q, cols: spec.out_cols })
+    Ok((Stream { q: rows_q, cols: spec.out_cols }, windowed.is_some()))
 }
 
-fn build_scan(b: &mut PipelineBuilder<'_>, ctx: &mut BuildCtx<'_>) -> Result<Stream, CoreError> {
+/// Lowers a `Scan` leaf: one Memory Reader per column, zipped into rows.
+/// Column metadata covers the spine slice (spine) or the whole leaf
+/// (other leaves). A join input whose key is strictly ascending over the
+/// whole leaf uploads only the rows inside `window`, found by binary
+/// search; the metadata still covers the whole leaf, so every compile
+/// decision is the same with or without the window. The second return
+/// value says whether the window applied.
+fn build_scan(
+    b: &mut PipelineBuilder<'_>,
+    ctx: &mut BuildCtx<'_>,
+    window: Option<KeyWindow<'_>>,
+) -> Result<(Stream, bool), CoreError> {
     let idx = ctx.next_scan;
     ctx.next_scan += 1;
     let ps = &ctx.prepared[idx];
@@ -1580,29 +1690,41 @@ fn build_scan(b: &mut PipelineBuilder<'_>, ctx: &mut BuildCtx<'_>) -> Result<Str
             "table has no columns",
         ));
     }
-    let table = ps.table.clone();
-    let mut inputs = Vec::with_capacity(ncols);
-    let mut cols = Vec::with_capacity(ncols);
-    // Borrow-friendly copies: serialize the scanned slice per column.
-    let specs: Vec<(String, usize, Decode, Vec<u64>)> = ps
+    let cols: Vec<ColInfo> = ps
         .cols
         .iter()
-        .map(|c| (c.name.clone(), c.elem_bytes, c.decode, c.vals[range.clone()].to_vec()))
+        .enumerate()
+        .map(|(ci, c)| {
+            let vals = &c.vals[range.clone()];
+            ColInfo {
+                name: c.name.clone(),
+                decode: c.decode,
+                nullable: false,
+                ascending: vals.windows(2).all(|w| w[0] < w[1]),
+                max_value: vals.iter().copied().max(),
+                min_value: vals.iter().copied().min().unwrap_or(0),
+                origin: Some((idx, ci)),
+            }
+        })
         .collect();
-    for (ci, (name, elem_bytes, decode, vals)) in specs.into_iter().enumerate() {
-        let label = ctx.lbl(&format!("{table}.{name}"));
-        let q = b.upload_column(&label, &serialize(&vals, elem_bytes), elem_bytes, RowSpec::None);
-        ctx.reads.push(elem_bytes);
+    let key = window.and_then(|w| {
+        let ki = resolve(&cols, w.key, "Join").ok()?;
+        cols[ki].ascending.then_some((ki, w.range))
+    });
+    let rows = match key {
+        Some((ki, Some((lo, hi)))) => {
+            let keys = &ps.cols[ki].vals;
+            keys.partition_point(|&k| k < lo)..keys.partition_point(|&k| k <= hi)
+        }
+        Some((_, None)) => 0..0,
+        None => range,
+    };
+    let table = ps.table.clone();
+    let mut inputs = Vec::with_capacity(ncols);
+    for c in &ps.cols {
+        let bytes = serialize(&c.vals[rows.clone()], c.elem_bytes);
+        let q = ctx.upload(b, &format!("{table}.{}", c.name), &bytes, c.elem_bytes, RowSpec::None);
         inputs.push(ZipInput::new(q, vec![0]));
-        cols.push(ColInfo {
-            name,
-            decode,
-            nullable: false,
-            ascending: vals.windows(2).all(|w| w[0] < w[1]),
-            max_value: vals.iter().copied().max(),
-            min_value: vals.iter().copied().min().unwrap_or(0),
-            origin: Some((idx, ci)),
-        });
     }
     let q = if inputs.len() == 1 {
         inputs[0].queue
@@ -1616,7 +1738,7 @@ fn build_scan(b: &mut PipelineBuilder<'_>, ctx: &mut BuildCtx<'_>) -> Result<Str
         "Scan({table}) -> {ncols}x MemoryReader{}",
         if ncols > 1 { " + Zip" } else { "" }
     ));
-    Ok(Stream { q, cols })
+    Ok((Stream { q, cols }, key.is_some()))
 }
 
 fn conjuncts<'e>(pred: &'e Expr, out: &mut Vec<&'e Expr>) {
@@ -2392,6 +2514,9 @@ fn build_project(
     Ok(Stream { q, cols: out_cols })
 }
 
+/// Lowers a merge join; `windowed` records that the right leaf was cut
+/// to the spine key window (see [`KeyWindow`]).
+#[allow(clippy::too_many_arguments)]
 fn build_join(
     b: &mut PipelineBuilder<'_>,
     ctx: &mut BuildCtx<'_>,
@@ -2400,6 +2525,7 @@ fn build_join(
     r: Stream,
     left_key: &ColRef,
     right_key: &ColRef,
+    windowed: bool,
 ) -> Result<Stream, CoreError> {
     let hw_kind = match kind {
         JoinKind::Inner => HwJoinKind::Inner,
@@ -2471,7 +2597,10 @@ fn build_join(
             ..c.clone()
         });
     }
-    ctx.note(format!("Join({kind:?}) -> 2x Zip + Joiner + Zip"));
+    ctx.note(format!(
+        "Join({kind:?}) -> 2x Zip + Joiner + Zip{}",
+        if windowed { " (right side windowed to spine key range)" } else { "" }
+    ));
     Ok(Stream { q: out, cols })
 }
 
@@ -3385,5 +3514,78 @@ mod tests {
         assert_eq!(node, "Scan(REDAS)");
         assert!(reason.contains("unknown table"), "got: {reason}");
         assert!(reason.contains("did you mean `READS`"), "got: {reason}");
+    }
+
+    /// The mate-distance histogram: `PosExplode(REF)` joined against the
+    /// `PAIRS` spine on position, binned by `MPOS - POS`.
+    const MATE_DISTANCE_SQL: &str = "\
+        CREATE TABLE RefPos AS\n\
+        PosExplode (REF.SEQ, REF.POS)\n\
+        FROM REF\n\
+        CREATE TABLE Joined AS\n\
+        SELECT *\n\
+        FROM PAIRS\n\
+        INNER JOIN RefPos\n\
+        ON PAIRS.POS = RefPos.POS\n\
+        CREATE TABLE Dist AS\n\
+        SELECT PAIRS.MPOS - PAIRS.POS AS D\n\
+        FROM Joined\n\
+        INSERT INTO MateHist\n\
+        SELECT D, COUNT(*)\n\
+        FROM Dist\n\
+        GROUP BY D\n\
+        ORDER BY D";
+
+    /// 16 pairs at `POS = 100, 110, …, 250` (`MPOS = POS + 7`, two U32
+    /// columns: 8 bytes a row) and one 400-base `REF` row from position 0.
+    fn mate_catalog() -> Catalog {
+        let pos: Vec<u32> = (0..16).map(|i| 100 + 10 * i).collect();
+        let mpos = pos.iter().map(|p| p + 7).collect();
+        let mut c = catalog_with(vec![table_u32("PAIRS", &[("POS", pos), ("MPOS", mpos)])]);
+        let schema =
+            Schema::new(vec![Field::new("POS", DataType::U32), Field::new("SEQ", DataType::ListU8)]);
+        let seq = (0..400).map(|j| (j % 4) as u8).collect();
+        c.register(
+            "REF",
+            Table::from_columns(schema, vec![Column::U32(vec![0]), Column::ListU8(vec![seq])])
+                .unwrap(),
+        );
+        c
+    }
+
+    #[test]
+    fn mate_distance_summary_shows_the_windowed_join() {
+        let compiled = crate::compile::Compiler::new(DeviceConfig::small())
+            .compile_sql(MATE_DISTANCE_SQL, &mate_catalog())
+            .unwrap();
+        let explain = compiled.explain();
+        assert!(
+            explain.contains(
+                "Join(Inner) -> 2x Zip + Joiner + Zip (right side windowed to spine key range)"
+            ),
+            "got:\n{explain}"
+        );
+        // The compile-time build already streams only positions 100..=250.
+        assert!(
+            explain.contains("PosExplode(REF) -> 3x MemoryReader + ReadToBases + Zip (151 rows from 1)"),
+            "got:\n{explain}"
+        );
+    }
+
+    #[test]
+    fn mate_distance_dma_in_counts_each_replicas_window() {
+        let catalog = mate_catalog();
+        let compiled = crate::compile::Compiler::new(DeviceConfig::small())
+            .compile_sql(MATE_DISTANCE_SQL, &catalog)
+            .unwrap();
+        let dma_in = |factor| compiled.execute_replicated(&catalog, factor).unwrap().1.dma_in_bytes;
+        // PAIRS: 16 rows x 8 B = 128 B, split across the replicas. Each
+        // pipeline also uploads REF's POS (8 B), one all-match CIGAR run
+        // (2 B) and the SEQ bases (1 B each) inside its spine key window.
+        // One pipeline: window 100..=250, 151 bases -> 128 + 161 = 289.
+        assert_eq!(dma_in(1), 289);
+        // Eight pipelines of two pairs: windows 100+20k ..= 110+20k,
+        // 11 bases each -> 128 + 8 x 21 = 296.
+        assert_eq!(dma_in(8), 296);
     }
 }

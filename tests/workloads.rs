@@ -186,6 +186,23 @@ fn mate_distance_compiles_generally_and_matches_oracle() {
     }
 }
 
+/// Each replicated pipeline streams only the reference positions its
+/// slice of `PAIRS` can join, so eight replicas move about as many flits
+/// as one. Replaying the whole exploded reference in every replica would
+/// cost close to 8x.
+#[test]
+fn mate_distance_replicas_stream_only_their_reference_window() {
+    let cat = catalog(48);
+    let compiled =
+        Compiler::new(DeviceConfig::small()).compile_sql(MATE_DISTANCE_SQL, &cat).unwrap();
+    let flits = |factor| compiled.execute_replicated(&cat, factor).unwrap().1.total_flits;
+    let (one, eight) = (flits(1), flits(8));
+    assert!(
+        eight as f64 <= 1.5 * one as f64,
+        "factor 8 moved {eight} flits vs {one} at factor 1"
+    );
+}
+
 #[test]
 fn coverage_counts_are_plausible_pileup_depths() {
     // Sanity beyond bit-equality: total counted bases = sum over reads of
